@@ -236,6 +236,14 @@ fn main() {
             r.seeds.iter().any(|s| s.ps_crashes > 0),
             "the sweep never drew a PS crash — widen the seed set"
         );
+        if let Some(s) = r.seeds.iter().find(|s| s.recovery_latencies.len() != s.ps_crashes) {
+            panic!(
+                "chaos seed {} had {} PS crashes but {} recovery latencies",
+                s.seed,
+                s.ps_crashes,
+                s.recovery_latencies.len()
+            );
+        }
         assert!(
             r.seeds.iter().any(|s| s.compound_answered > 0),
             "the soak never served a compound plan — widen the query mix"

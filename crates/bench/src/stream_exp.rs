@@ -1,8 +1,8 @@
 //! `repro -- stream`: the streaming-ingestion reproduction — closing the
 //! train → serve → refresh loop end to end.
 //!
-//! Pipeline: bootstrap DS3′ into the mutable ingest state (tombstone
-//! neighbor table + degree vector), converge incremental PageRank and
+//! Pipeline: bootstrap DS3′ into the mutable ingest state (neighbor
+//! table + degree vector), converge incremental PageRank and
 //! connected components, snapshot everything, and load a serving tier.
 //! Then a drift-parameterized RMAT source emits timestamped edge
 //! add/remove events which are applied in micro-batches:

@@ -18,14 +18,15 @@
 //!
 //! **Connected components** keeps the min-member-id labeling of
 //! [`psgraph_graph::metrics::connected_components`] (weakly connected,
-//! edges treated as undirected). Edge adds union two labels in O(smaller
-//! component). Edge removals recompute *one* component from its members'
-//! live out-lists — bounded by the component size, never the graph.
+//! edges treated as undirected). A batch's adds union labels first, in
+//! O(smaller component) each. Then every component a removal hit is
+//! recomputed once from its members' live out-lists — bounded by the
+//! component size, never the graph, and never repeated within a batch.
 
 use std::sync::Arc;
 
 use psgraph_ps::{NeighborTableHandle, Partitioner, Ps, RecoveryMode, VectorHandle};
-use psgraph_sim::{FxHashMap, FxHashSet, NodeClock};
+use psgraph_sim::{FxHashMap, NodeClock};
 
 use crate::error::{CoreError, Result};
 
@@ -48,14 +49,22 @@ impl Default for IncrementalPageRank {
 }
 
 /// PS-resident state of one incrementally-maintained PageRank: the rank
-/// and residual vectors plus the driver's dirty frontier.
+/// and residual vectors plus the driver's dirty frontier and scratch.
 pub struct PrState {
     pub ranks: VectorHandle<f64>,
     residuals: VectorHandle<f64>,
-    /// Vertices whose residual may exceed the threshold.
-    dirty: FxHashSet<u64>,
+    /// Vertices whose residual may exceed the threshold; sorted, distinct.
+    dirty: Vec<u64>,
+    /// Per-vertex residual contributions of one push round or batch.
+    acc: DenseAcc,
+    /// Per-vertex membership bits ([`IN_OLD`], [`IN_NEW`]) of the out-list
+    /// pair `on_batch` is diffing; all zero between effects.
+    member: Vec<u8>,
     n: u64,
 }
+
+const IN_OLD: u8 = 1;
+const IN_NEW: u8 = 2;
 
 impl PrState {
     /// Number of frontier vertices awaiting a push check.
@@ -70,6 +79,45 @@ impl PrState {
     /// original run did.
     pub fn reset_after_recovery(&mut self) {
         self.dirty.clear();
+    }
+}
+
+/// Dense per-vertex accumulator: each touched vertex's sum starts at 0.0
+/// and folds its contributions in call order; [`DenseAcc::drain_sorted`]
+/// hands the sums back in ascending vertex order.
+struct DenseAcc {
+    sum: Vec<f64>,
+    seen: Vec<bool>,
+    touched: Vec<u64>,
+}
+
+impl DenseAcc {
+    fn new(n: u64) -> Self {
+        DenseAcc { sum: vec![0.0; n as usize], seen: vec![false; n as usize], touched: Vec::new() }
+    }
+
+    fn add(&mut self, x: u64, w: f64) {
+        let i = x as usize;
+        if !self.seen[i] {
+            self.seen[i] = true;
+            self.touched.push(x);
+        }
+        self.sum[i] += w;
+    }
+
+    /// Every touched vertex with its sum, ascending; resets the scratch.
+    fn drain_sorted(&mut self) -> (Vec<u64>, Vec<f64>) {
+        let mut ids = std::mem::take(&mut self.touched);
+        ids.sort_unstable();
+        let vals = ids
+            .iter()
+            .map(|&x| {
+                let i = x as usize;
+                self.seen[i] = false;
+                std::mem::replace(&mut self.sum[i], 0.0)
+            })
+            .collect();
+        (ids, vals)
     }
 }
 
@@ -90,7 +138,14 @@ impl IncrementalPageRank {
             Partitioner::Range,
             RecoveryMode::Consistent,
         )?;
-        Ok(PrState { ranks, residuals, dirty: FxHashSet::default(), n })
+        Ok(PrState {
+            ranks,
+            residuals,
+            dirty: Vec::new(),
+            acc: DenseAcc::new(n),
+            member: vec![0; n as usize],
+            n,
+        })
     }
 
     /// Reset to the from-scratch initial condition (`ranks = 0`,
@@ -123,34 +178,43 @@ impl IncrementalPageRank {
         }
         let srcs: Vec<u64> = effects.iter().map(|(s, _, _)| *s).collect();
         let ranks = st.ranks.pull(client, &srcs)?;
-        let mut acc: FxHashMap<u64, f64> = FxHashMap::default();
+        let member = &mut st.member;
         for ((_, old, new), r_u) in effects.iter().zip(ranks) {
             if r_u == 0.0 || old == new {
                 continue;
             }
-            let old_set: FxHashSet<u64> = old.iter().copied().collect();
-            let new_set: FxHashSet<u64> = new.iter().copied().collect();
+            for &x in old {
+                member[x as usize] |= IN_OLD;
+            }
+            for &x in new {
+                member[x as usize] |= IN_NEW;
+            }
             let inv_old = if old.is_empty() { 0.0 } else { 1.0 / old.len() as f64 };
             let inv_new = if new.is_empty() { 0.0 } else { 1.0 / new.len() as f64 };
             // d·r_u·(row_new − row_old) of the transition matrix.
             for &x in new {
-                let w = if old_set.contains(&x) { inv_new - inv_old } else { inv_new };
+                let w = if member[x as usize] & IN_OLD != 0 { inv_new - inv_old } else { inv_new };
                 if w != 0.0 {
-                    *acc.entry(x).or_default() += self.damping * r_u * w;
+                    st.acc.add(x, self.damping * r_u * w);
                 }
             }
             for &x in old {
-                if !new_set.contains(&x) {
-                    *acc.entry(x).or_default() -= self.damping * r_u * inv_old;
+                if member[x as usize] & IN_NEW == 0 {
+                    st.acc.add(x, -(self.damping * r_u * inv_old));
                 }
             }
+            for &x in old.iter().chain(new) {
+                member[x as usize] = 0;
+            }
         }
-        let mut upd: Vec<(u64, f64)> = acc.into_iter().filter(|&(_, w)| w != 0.0).collect();
-        upd.sort_unstable_by_key(|&(v, _)| v);
-        if !upd.is_empty() {
-            let (idx, vals): (Vec<u64>, Vec<f64>) = upd.into_iter().unzip();
+        let (ids, sums) = st.acc.drain_sorted();
+        let (idx, vals): (Vec<u64>, Vec<f64>) =
+            ids.into_iter().zip(sums).filter(|&(_, w)| w != 0.0).unzip();
+        if !idx.is_empty() {
             st.residuals.push_add(client, &idx, &vals)?;
             st.dirty.extend(idx);
+            st.dirty.sort_unstable();
+            st.dirty.dedup();
         }
         Ok(())
     }
@@ -165,16 +229,14 @@ impl IncrementalPageRank {
     ) -> Result<usize> {
         let mut rounds = 0usize;
         while !st.dirty.is_empty() {
-            let mut frontier: Vec<u64> = st.dirty.iter().copied().collect();
-            frontier.sort_unstable();
-            st.dirty.clear();
+            let frontier = std::mem::take(&mut st.dirty);
             let res = st.residuals.pull(client, &frontier)?;
-            let active: Vec<(u64, f64)> = frontier
+            let (idx, vals): (Vec<u64>, Vec<f64>) = frontier
                 .into_iter()
                 .zip(res)
                 .filter(|&(_, r)| r.abs() > self.threshold)
-                .collect();
-            if active.is_empty() {
+                .unzip();
+            if idx.is_empty() {
                 break;
             }
             rounds += 1;
@@ -184,7 +246,6 @@ impl IncrementalPageRank {
                     self.max_rounds
                 )));
             }
-            let (idx, vals): (Vec<u64>, Vec<f64>) = active.iter().copied().unzip();
             // Absorb the residual into the rank, then zero it exactly
             // (x + (-x) == 0 in IEEE 754).
             st.ranks.push_add(client, &idx, &vals)?;
@@ -193,22 +254,19 @@ impl IncrementalPageRank {
             // Distribute d·res/deg to out-neighbors, folding contributions
             // in source order so the result is partition-independent.
             let lists = adj.pull(client, &idx)?;
-            let mut acc: FxHashMap<u64, f64> = FxHashMap::default();
-            for ((_, r), list) in active.iter().zip(&lists) {
+            for (r, list) in vals.iter().zip(&lists) {
                 if list.is_empty() {
                     continue;
                 }
                 let contrib = self.damping * r / list.len() as f64;
                 for &x in list.iter() {
-                    *acc.entry(x).or_default() += contrib;
+                    st.acc.add(x, contrib);
                 }
             }
-            let mut upd: Vec<(u64, f64)> = acc.into_iter().collect();
-            upd.sort_unstable_by_key(|&(v, _)| v);
-            if !upd.is_empty() {
-                let (ids, vs): (Vec<u64>, Vec<f64>) = upd.into_iter().unzip();
+            let (ids, vs) = st.acc.drain_sorted();
+            if !ids.is_empty() {
                 st.residuals.push_add(client, &ids, &vs)?;
-                st.dirty.extend(ids);
+                st.dirty = ids;
             }
         }
         Ok(rounds)
@@ -225,7 +283,8 @@ impl IncrementalPageRank {
 pub struct CcStats {
     /// Adds that merged two components.
     pub unions: usize,
-    /// Removes that triggered a bounded component recompute.
+    /// Components recomputed: each distinct component the batch's removes
+    /// hit, counted once however many removes landed in it.
     pub recomputes: usize,
     /// Vertices whose label changed (pushed to the PS).
     pub relabeled: usize,
@@ -296,8 +355,11 @@ impl IncrementalCc {
     }
 
     /// Apply one micro-batch of edge events that were *actually applied*
-    /// to the out-table (`add == true` for insertions). Adds union; each
-    /// remove recomputes only the affected component.
+    /// to the out-table (`add == true` for insertions). All adds union
+    /// first; then each component holding a removed edge's source is
+    /// recomputed once, in ascending label order, over the post-batch
+    /// table. The final labels depend only on the post-batch edge set, not
+    /// on the order of events within the batch.
     pub fn on_batch(
         &mut self,
         client: &NodeClock,
@@ -308,9 +370,17 @@ impl IncrementalCc {
         for &(u, w, add) in events {
             if add {
                 self.union(client, u, w, &mut stats)?;
-            } else {
-                self.recompute_component(client, u, adj, &mut stats)?;
             }
+        }
+        let mut hit: Vec<u64> = events
+            .iter()
+            .filter(|&&(_, _, add)| !add)
+            .map(|&(u, _, _)| self.mirror[u as usize])
+            .collect();
+        hit.sort_unstable();
+        hit.dedup();
+        for label in hit {
+            self.recompute_component(client, label, adj, &mut stats)?;
         }
         Ok(stats)
     }
@@ -330,19 +400,20 @@ impl IncrementalCc {
         Ok(())
     }
 
-    /// Re-derive the split of `u`'s component from its members' live
-    /// out-lists. Sound because every edge incident to a member has both
-    /// endpoints inside the (pre-removal) component, so member out-lists
-    /// cover all surviving connectivity.
+    /// Re-derive the split of component `label` from its members' live
+    /// out-lists. Sound because, once the batch's adds are unioned, every
+    /// tracked component is closed under the post-batch edge set: each
+    /// surviving edge was either there before the batch (inside one
+    /// component) or added by it (unioned). Member out-lists therefore
+    /// cover all of the component's surviving connectivity.
     fn recompute_component(
         &mut self,
         client: &NodeClock,
-        u: u64,
+        label: u64,
         adj: &NeighborTableHandle,
         stats: &mut CcStats,
     ) -> Result<()> {
         stats.recomputes += 1;
-        let label = self.mirror[u as usize];
         let comp = self.members.get(&label).expect("component exists").clone();
         let index: FxHashMap<u64, usize> =
             comp.iter().enumerate().map(|(i, &v)| (v, i)).collect();
@@ -357,9 +428,9 @@ impl IncrementalCc {
         let lists = adj.pull(client, &comp)?;
         for (i, list) in lists.iter().enumerate() {
             for t in list.iter() {
-                // Targets outside the member set belong to other
-                // components (the edge to them was already gone when the
-                // component formed) — skip defensively.
+                // Closure means every target is a member; a target
+                // outside the set would be a maintenance bug — skip it
+                // defensively rather than index out of the component.
                 let Some(&j) = index.get(t) else { continue };
                 let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
                 if ri != rj {

@@ -270,16 +270,6 @@ impl<E: Element> MatrixHandle<E> {
         Ok(())
     }
 
-    fn group(&self, rows: &[u64]) -> FxHashMap<usize, FxHashMap<usize, Vec<usize>>> {
-        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
-        for (pos, &r) in rows.iter().enumerate() {
-            let p = self.layout.partition_of(r);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
-        }
-        groups
-    }
-
     fn charge_rpc(
         &self,
         client: &NodeClock,
@@ -302,7 +292,7 @@ impl<E: Element> MatrixHandle<E> {
         self.check_rows(rows)?;
         let mut out: Vec<Vec<E>> = vec![Vec::new(); rows.len()];
         let row_bytes = (self.cols * E::WIDTH) as u64;
-        for (s, parts) in self.group(rows) {
+        for (s, parts) in self.layout.group_positions(rows.iter().copied()) {
             let server = self.ps.server(s);
             server.ensure_alive()?;
             let n: usize = parts.values().map(Vec::len).sum();
@@ -352,7 +342,7 @@ impl<E: Element> MatrixHandle<E> {
         }
         self.check_rows(rows)?;
         let row_bytes = (self.cols * E::WIDTH) as u64;
-        for (s, parts) in self.group(rows) {
+        for (s, parts) in self.layout.group_positions(rows.iter().copied()) {
             let server = self.ps.server(s);
             server.ensure_alive()?;
             let n: usize = parts.values().map(Vec::len).sum();
@@ -541,7 +531,7 @@ impl MatrixHandle<f32> {
         }
         self.check_rows(rows)?;
         let row_bytes = (self.cols * 4) as u64;
-        for (s, parts) in self.group(rows) {
+        for (s, parts) in self.layout.group_positions(rows.iter().copied()) {
             let server = self.ps.server(s);
             server.ensure_alive()?;
             let n: usize = parts.values().map(Vec::len).sum();
@@ -599,7 +589,7 @@ impl MatrixHandle<f32> {
         }
         self.check_rows(rows)?;
         let row_bytes = (self.cols * 4) as u64;
-        for (s, parts) in self.group(rows) {
+        for (s, parts) in self.layout.group_positions(rows.iter().copied()) {
             let server = self.ps.server(s);
             server.ensure_alive()?;
             let n: usize = parts.values().map(Vec::len).sum();

@@ -8,12 +8,9 @@
 //!
 //! Entries are **mutable**: `update_edges` applies ordered add/remove
 //! operations so a streaming ingestor (`psgraph-stream`) can evolve the
-//! graph online. Removal is tombstone-based — the slot is overwritten
-//! with a sentinel rather than shifting the list, and an entry compacts
-//! once half its slots are dead. Because adds always append and
-//! compaction preserves slot order, the *live* neighbor list is always
-//! exactly "insertion order minus removed elements", independent of when
-//! compaction runs.
+//! graph online. Adds append and a removal deletes the neighbor in place,
+//! keeping the order of the rest, so a list is always exactly "insertion
+//! order minus removed elements" and its footprint is the live list.
 
 use psgraph_sim::bytes::{Buf, BufMut};
 use psgraph_sim::{FxHashMap, NodeClock, SplitMix64};
@@ -24,67 +21,45 @@ use crate::partition::{PartitionLayout, Partitioner};
 use crate::ps::{ObjectOps, Ps, RecoveryMode};
 use crate::server::PsServer;
 
-/// Sentinel marking a removed slot. Never a valid vertex id: every id is
-/// bounds-checked against the table size before reaching a server.
-pub const TOMBSTONE: u64 = u64::MAX;
-
-/// One vertex's neighbor slots. `slots` holds neighbors in insertion
-/// order with removed ones overwritten by [`TOMBSTONE`]; `dead` counts
-/// them so live length and compaction are O(1) decisions.
+/// One vertex's neighbor list, in insertion order. Shared copy-on-write,
+/// so a pull hands out the list without copying it.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborEntry {
-    slots: Arc<Vec<u64>>,
-    dead: usize,
+    list: Arc<Vec<u64>>,
 }
 
 impl NeighborEntry {
-    /// An entry holding `neighbors` as its live list.
+    /// An entry holding `neighbors` as its list.
     pub fn new(neighbors: Vec<u64>) -> Self {
-        NeighborEntry { slots: Arc::new(neighbors), dead: 0 }
+        NeighborEntry { list: Arc::new(neighbors) }
     }
 
-    /// Live (non-tombstoned) neighbor count.
+    /// Neighbor count.
     pub fn live_len(&self) -> usize {
-        self.slots.len() - self.dead
+        self.list.len()
     }
 
-    /// Total slots including tombstones (the memory footprint).
-    pub fn slot_len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The live neighbor list, in insertion order. Cheap (an `Arc` clone)
-    /// when the entry has no tombstones.
+    /// The neighbor list, in insertion order (an `Arc` clone).
     pub fn live(&self) -> Arc<Vec<u64>> {
-        if self.dead == 0 {
-            Arc::clone(&self.slots)
-        } else {
-            Arc::new(self.slots.iter().copied().filter(|&s| s != TOMBSTONE).collect())
-        }
+        Arc::clone(&self.list)
     }
 
-    /// Append `x` unless it is already a live neighbor. Returns whether
-    /// the edge was added.
+    /// Append `x` unless it is already a neighbor. Returns whether the
+    /// edge was added.
     pub fn add(&mut self, x: u64) -> bool {
-        if self.slots.iter().any(|&s| s == x) {
+        if self.list.contains(&x) {
             return false;
         }
-        Arc::make_mut(&mut self.slots).push(x);
+        Arc::make_mut(&mut self.list).push(x);
         true
     }
 
-    /// Tombstone the slot holding `x` (if live), compacting once dead
-    /// slots reach half the entry. Returns whether the edge was removed.
+    /// Delete `x` from the list, keeping the order of the rest. Returns
+    /// whether the edge was removed.
     pub fn remove(&mut self, x: u64) -> bool {
-        let slots = Arc::make_mut(&mut self.slots);
-        match slots.iter().position(|&s| s == x) {
+        match self.list.iter().position(|&s| s == x) {
             Some(i) => {
-                slots[i] = TOMBSTONE;
-                self.dead += 1;
-                if self.dead * 2 >= slots.len() {
-                    slots.retain(|&s| s != TOMBSTONE);
-                    self.dead = 0;
-                }
+                Arc::make_mut(&mut self.list).remove(i);
                 true
             }
             None => false,
@@ -95,7 +70,7 @@ impl NeighborEntry {
 type TablePart = FxHashMap<u64, NeighborEntry>;
 
 fn part_bytes(map: &TablePart) -> u64 {
-    map.values().map(|e| 8 + 24 + e.slot_len() as u64 * 8)
+    map.values().map(|e| 8 + 24 + e.live_len() as u64 * 8)
         .sum::<u64>()
         + 48
 }
@@ -106,8 +81,6 @@ fn encode_part(map: &TablePart) -> Vec<u8> {
     let mut keys: Vec<u64> = map.keys().copied().collect();
     keys.sort_unstable();
     for k in keys {
-        // Checkpoints hold the live list only — tombstones are a
-        // transient in-memory artifact, so restore implies compaction.
         let v = map[&k].live();
         buf.put_u64_le(k);
         buf.put_u64_le(v.len() as u64);
@@ -240,14 +213,7 @@ impl NeighborTableHandle {
     pub fn push(&self, client: &NodeClock, entries: &[(u64, Vec<u64>)]) -> Result<()> {
         let ids: Vec<u64> = entries.iter().map(|(v, _)| *v).collect();
         self.check(&ids)?;
-        // Group entry positions by (server, partition).
-        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
-        for (pos, &v) in ids.iter().enumerate() {
-            let p = self.layout.partition_of(v);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
-        }
-        for (s, parts) in groups {
+        for (s, parts) in self.layout.group_positions(ids.iter().copied()) {
             let server = self.ps.server(s);
             server.ensure_alive()?;
             let total: u64 = parts
@@ -281,8 +247,8 @@ impl NeighborTableHandle {
     }
 
     /// Apply ordered edge mutations: `(src, dst, add)` adds `dst` to
-    /// `src`'s list when `add` is true (skipping live duplicates) and
-    /// tombstones it otherwise (skipping absent edges). Operation order
+    /// `src`'s list when `add` is true (skipping duplicates) and deletes
+    /// it otherwise (skipping absent edges). Operation order
     /// is preserved *per source vertex* — all ops on a source land in its
     /// partition in input order — so add→remove→add sequences resolve the
     /// way a stream emitted them. Returns `(added, removed)` counts of
@@ -295,12 +261,7 @@ impl NeighborTableHandle {
         for &(src, dst, _) in ops {
             self.check(&[src, dst])?;
         }
-        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
-        for (pos, &(src, _, _)) in ops.iter().enumerate() {
-            let p = self.layout.partition_of(src);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
-        }
+        let groups = self.layout.group_positions(ops.iter().map(|&(src, _, _)| src));
         let mut added = 0usize;
         let mut removed = 0usize;
         for (s, parts) in groups {
@@ -366,13 +327,7 @@ impl NeighborTableHandle {
         // (lane, server, partition, op positions) in canonical order.
         let mut tasks: Vec<(usize, usize, usize, Vec<usize>)> = Vec::new();
         for (lane, &(clock, ops)) in lanes.iter().enumerate() {
-            let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> =
-                FxHashMap::default();
-            for (pos, &(src, _, _)) in ops.iter().enumerate() {
-                let p = self.layout.partition_of(src);
-                let s = self.layout.server_of_partition(p);
-                groups.entry(s).or_default().entry(p).or_default().push(pos);
-            }
+            let groups = self.layout.group_positions(ops.iter().map(|&(src, _, _)| src));
             let mut servers: Vec<usize> = groups.keys().copied().collect();
             servers.sort_unstable();
             for s in servers {
@@ -426,7 +381,7 @@ impl NeighborTableHandle {
     }
 
     /// Add directed edges (see [`NeighborTableHandle::update_edges`]).
-    /// Returns how many were added (live duplicates are skipped).
+    /// Returns how many were added (duplicates are skipped).
     pub fn add_edges(&self, client: &NodeClock, edges: &[(u64, u64)]) -> Result<usize> {
         let ops: Vec<(u64, u64, bool)> =
             edges.iter().map(|&(s, d)| (s, d, true)).collect();
@@ -442,20 +397,13 @@ impl NeighborTableHandle {
     }
 
     /// Pull the adjacency of `ids`. Vertices with no entry return an empty
-    /// list. Result aligns with the input. Tombstoned slots are never
-    /// visible to readers.
+    /// list. Result aligns with the input.
     pub fn pull(&self, client: &NodeClock, ids: &[u64]) -> Result<Vec<Arc<Vec<u64>>>> {
         self.check(ids)?;
         static EMPTY: std::sync::OnceLock<Arc<Vec<u64>>> = std::sync::OnceLock::new();
         let empty = EMPTY.get_or_init(|| Arc::new(Vec::new()));
         let mut out: Vec<Arc<Vec<u64>>> = vec![Arc::clone(empty); ids.len()];
-        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
-        for (pos, &v) in ids.iter().enumerate() {
-            let p = self.layout.partition_of(v);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
-        }
-        for (s, parts) in groups {
+        for (s, parts) in self.layout.group_positions(ids.iter().copied()) {
             let server = self.ps.server(s);
             server.ensure_alive()?;
             let mut resp_bytes = 0u64;
@@ -487,13 +435,7 @@ impl NeighborTableHandle {
     pub fn degrees(&self, client: &NodeClock, ids: &[u64]) -> Result<Vec<u64>> {
         self.check(ids)?;
         let mut out = vec![0u64; ids.len()];
-        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
-        for (pos, &v) in ids.iter().enumerate() {
-            let p = self.layout.partition_of(v);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
-        }
-        for (s, parts) in groups {
+        for (s, parts) in self.layout.group_positions(ids.iter().copied()) {
             let server = self.ps.server(s);
             server.ensure_alive()?;
             let n: usize = parts.values().map(Vec::len).sum();
@@ -527,13 +469,7 @@ impl NeighborTableHandle {
     ) -> Result<Vec<Vec<u64>>> {
         self.check(ids)?;
         let mut out: Vec<Vec<u64>> = vec![Vec::new(); ids.len()];
-        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
-        for (pos, &v) in ids.iter().enumerate() {
-            let p = self.layout.partition_of(v);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
-        }
-        for (s, parts) in groups {
+        for (s, parts) in self.layout.group_positions(ids.iter().copied()) {
             let server = self.ps.server(s);
             server.ensure_alive()?;
             let n: usize = parts.values().map(Vec::len).sum();
@@ -582,19 +518,6 @@ impl NeighborTableHandle {
 
     pub fn is_empty(&self) -> Result<bool> {
         Ok(self.len()? == 0)
-    }
-
-    /// Total tombstoned slots across all entries (diagnostics: memory
-    /// awaiting compaction).
-    pub fn tombstones(&self) -> Result<usize> {
-        let mut total = 0;
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            total += server.get(&self.name, p, |part: &TablePart| {
-                part.values().map(|e| e.dead).sum::<usize>()
-            })?;
-        }
-        Ok(total)
     }
 
     /// Per-partition write versions (delta export diffs against these).
@@ -693,17 +616,17 @@ mod tests {
     }
 
     #[test]
-    fn remove_edges_tombstones_and_preserves_order() {
+    fn remove_edges_deletes_in_place_and_preserves_order() {
         let ps = ps();
         let c = NodeClock::new();
         let t = table(&ps);
         t.push(&c, &[(1, vec![2, 3, 4, 5, 6])]).unwrap();
+        let full = t.resident_bytes().unwrap();
         let removed = t.remove_edges(&c, &[(1, 3), (1, 99), (2, 5)]).unwrap();
         assert_eq!(removed, 1, "absent edges are skipped");
         assert_eq!(*t.pull(&c, &[1]).unwrap()[0], vec![2, 4, 5, 6]);
         assert_eq!(t.degrees(&c, &[1]).unwrap(), vec![4]);
-        assert_eq!(t.tombstones().unwrap(), 1);
-        // Samples never expose a tombstone.
+        assert_eq!(t.resident_bytes().unwrap(), full - 8, "the removed slot is freed");
         let s = t.sample_neighbors(&c, &[1], 10, 42).unwrap();
         assert_eq!(s[0], vec![2, 4, 5, 6]);
     }
@@ -724,27 +647,27 @@ mod tests {
     }
 
     #[test]
-    fn compaction_reclaims_tombstones_and_memory() {
+    fn footprint_shrinks_by_one_slot_per_removal() {
         let ps = ps();
         let c = NodeClock::new();
         let t = table(&ps);
         let big: Vec<u64> = (0..64).collect();
         t.push(&c, &[(1, big.clone())]).unwrap();
         let full = t.resident_bytes().unwrap();
-        // Remove just under half: tombstones accumulate, footprint holds.
-        let victims: Vec<(u64, u64)> = (0..31).map(|d| (1u64, d)).collect();
-        assert_eq!(t.remove_edges(&c, &victims).unwrap(), 31);
-        assert_eq!(t.tombstones().unwrap(), 31);
-        assert_eq!(t.resident_bytes().unwrap(), full);
-        // One more removal crosses the half-dead threshold → compaction.
-        assert_eq!(t.remove_edges(&c, &[(1, 31)]).unwrap(), 1);
-        assert_eq!(t.tombstones().unwrap(), 0);
-        assert!(t.resident_bytes().unwrap() < full);
-        let live: Vec<u64> = (32..64).collect();
+        // Remove every other neighbor, one call at a time: after k
+        // removals the footprint is exactly k slots smaller and the
+        // survivors keep their insertion order.
+        for (k, d) in (0..64u64).step_by(2).enumerate() {
+            assert_eq!(t.remove_edges(&c, &[(1, d)]).unwrap(), 1);
+            assert_eq!(t.resident_bytes().unwrap(), full - 8 * (k as u64 + 1));
+        }
+        let live: Vec<u64> = (1..64).step_by(2).collect();
         assert_eq!(*t.pull(&c, &[1]).unwrap()[0], live);
-        // The list still behaves normally after compaction.
-        assert_eq!(t.add_edges(&c, &[(1, 7)]).unwrap(), 1);
+        // Adds still append after removals.
+        assert_eq!(t.add_edges(&c, &[(1, 0)]).unwrap(), 1);
         assert_eq!(t.degrees(&c, &[1]).unwrap(), vec![33]);
+        assert_eq!(t.pull(&c, &[1]).unwrap()[0].last(), Some(&0));
+        assert_eq!(t.resident_bytes().unwrap(), full - 8 * 31);
     }
 
     #[test]
@@ -839,9 +762,8 @@ mod tests {
         let dfs = Dfs::in_memory();
         let t = table(&ps);
         t.push(&c, &[(1, vec![2, 3]), (50, vec![60, 70, 80])]).unwrap();
-        // Leave a tombstone in place so the checkpoint exercises the
-        // live-list compaction path.
         t.remove_edges(&c, &[(50, 70)]).unwrap();
+        let resident = t.resident_bytes().unwrap();
         ps.checkpoint(&dfs, "adj").unwrap();
         for s in 0..ps.num_servers() {
             ps.kill_server(s);
@@ -851,7 +773,7 @@ mod tests {
         assert_eq!(*t.pull(&c, &[1]).unwrap()[0], vec![2, 3]);
         assert_eq!(*t.pull(&c, &[50]).unwrap()[0], vec![60, 80]);
         assert_eq!(t.len().unwrap(), 2);
-        assert_eq!(t.tombstones().unwrap(), 0, "restore compacts");
+        assert_eq!(t.resident_bytes().unwrap(), resident, "restore keeps the footprint");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! each bucket by range (the hybrid-range strategy the paper cites).
 
 use psgraph_sim::hash::hash_u64;
+use psgraph_sim::FxHashMap;
 
 /// The partitioning strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,19 +125,32 @@ impl PartitionLayout {
             .collect()
     }
 
-    /// Group `keys` by target server, preserving per-server input order.
-    /// Returns `(server, positions-into-keys)` pairs for the non-empty
-    /// servers.
-    pub fn group_by_server(&self, keys: &[u64]) -> Vec<(usize, Vec<usize>)> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.num_servers];
-        for (i, &k) in keys.iter().enumerate() {
-            groups[self.server_of(k)].push(i);
+    /// Group the positions of `keys` by (server, partition) for one client
+    /// call; positions keep input order within a partition. Both map
+    /// levels insert their keys in first-appearance order, so iterating
+    /// the result visits servers and partitions in a fixed order — the
+    /// order that sequences a call's RPCs on the client clock.
+    pub fn group_positions(
+        &self,
+        keys: impl IntoIterator<Item = u64>,
+    ) -> FxHashMap<usize, FxHashMap<usize, Vec<usize>>> {
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.num_partitions];
+        let mut first_seen: Vec<usize> = Vec::new();
+        for (pos, k) in keys.into_iter().enumerate() {
+            let p = self.partition_of(k);
+            if buckets[p].is_empty() {
+                first_seen.push(p);
+            }
+            buckets[p].push(pos);
+        }
+        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
+        for p in first_seen {
+            groups
+                .entry(self.server_of_partition(p))
+                .or_default()
+                .insert(p, std::mem::take(&mut buckets[p]));
         }
         groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .collect()
     }
 }
 
@@ -224,18 +238,31 @@ mod tests {
     }
 
     #[test]
-    fn group_by_server_partitions_positions() {
-        let l = PartitionLayout::range(100, 4);
-        let keys = vec![0, 99, 50, 1, 75];
-        let groups = l.group_by_server(&keys);
-        let mut seen = vec![false; keys.len()];
-        for (s, positions) in &groups {
-            for &i in positions {
-                assert_eq!(l.server_of(keys[i]), *s);
-                seen[i] = true;
+    fn group_positions_matches_per_key_map_build() {
+        // The nested maps must iterate exactly like maps built one key at
+        // a time with `entry().or_default()` — callers' RPC order (and so
+        // simulated time) depends on it.
+        for layout in [
+            PartitionLayout::hash(1000, 4),
+            PartitionLayout::new(Partitioner::Range, 1000, 8, 3),
+            PartitionLayout::new(Partitioner::HashRange { buckets: 2 }, 1000, 8, 4),
+        ] {
+            let keys: Vec<u64> = (0..300u64).map(|i| (i * 7919 + 13) % 1000).collect();
+            let mut want: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
+            for (pos, &k) in keys.iter().enumerate() {
+                let p = layout.partition_of(k);
+                want.entry(layout.server_of_partition(p)).or_default().entry(p).or_default().push(pos);
             }
+            let got = layout.group_positions(keys.iter().copied());
+            let flat = |m: &FxHashMap<usize, FxHashMap<usize, Vec<usize>>>| {
+                m.iter()
+                    .map(|(s, parts)| {
+                        (*s, parts.iter().map(|(p, v)| (*p, v.clone())).collect::<Vec<_>>())
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(flat(&got), flat(&want));
         }
-        assert!(seen.iter().all(|&b| b));
     }
 
     #[test]

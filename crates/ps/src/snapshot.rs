@@ -395,8 +395,8 @@ impl<'a> SnapshotWriter<'a> {
         )
     }
 
-    /// Export a mutable neighbor table as a CSR adjacency snapshot (live
-    /// lists only — tombstones never reach the file).
+    /// Export a mutable neighbor table as a CSR adjacency snapshot of its
+    /// current lists.
     pub fn neighbor_table(&mut self, h: &NeighborTableHandle) -> Result<()> {
         let part_versions = h.partition_versions()?;
         let n = h.num_vertices();
@@ -1264,7 +1264,7 @@ mod tests {
         }
 
         // Mutate only the middle partition (vertices 4..8): the delta
-        // re-exports exactly that vertex range, tombstones excluded.
+        // re-exports exactly that vertex range, the removed edge gone.
         t.update_edges(&c, &[(5, 7, false), (6, 11, true)]).unwrap();
 
         let mut dw = DeltaWriter::new(&dfs, "/sn", &base, &c);

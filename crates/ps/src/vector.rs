@@ -254,17 +254,6 @@ impl<E: Element> VectorHandle<E> {
         Ok(())
     }
 
-    /// Group positions of `indices` by (server, partition).
-    fn group(&self, indices: &[u64]) -> FxHashMap<usize, FxHashMap<usize, Vec<usize>>> {
-        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
-        for (pos, &k) in indices.iter().enumerate() {
-            let p = self.layout.partition_of(k);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
-        }
-        groups
-    }
-
     fn charge_rpc(
         &self,
         client: &NodeClock,
@@ -287,7 +276,7 @@ impl<E: Element> VectorHandle<E> {
     pub fn pull(&self, client: &NodeClock, indices: &[u64]) -> Result<Vec<E>> {
         self.check_indices(indices)?;
         let mut out = vec![E::default(); indices.len()];
-        for (s, parts) in self.group(indices) {
+        for (s, parts) in self.layout.group_positions(indices.iter().copied()) {
             let server = self.ps.server(s);
             server.ensure_alive()?;
             let n: usize = parts.values().map(Vec::len).sum();
@@ -311,7 +300,7 @@ impl<E: Element> VectorHandle<E> {
     pub fn pull_sparse(&self, client: &NodeClock, indices: &[u64]) -> Result<Vec<E>> {
         self.check_indices(indices)?;
         let mut out = vec![E::default(); indices.len()];
-        for (s, parts) in self.group(indices) {
+        for (s, parts) in self.layout.group_positions(indices.iter().copied()) {
             let server = self.ps.server(s);
             server.ensure_alive()?;
             let mut nonzero = 0u64;
@@ -365,7 +354,7 @@ impl<E: Element> VectorHandle<E> {
             )));
         }
         self.check_indices(indices)?;
-        for (s, parts) in self.group(indices) {
+        for (s, parts) in self.layout.group_positions(indices.iter().copied()) {
             let server = self.ps.server(s);
             server.ensure_alive()?;
             let n: usize = parts.values().map(Vec::len).sum();

@@ -93,7 +93,8 @@ pub struct BatchEffect {
 /// Drains timestamped edge events into PS state in micro-batches.
 pub struct Ingestor {
     mailbox: Mailbox<EdgeEvent>,
-    /// The live out-neighbor table (`{prefix}.adj`), tombstone-backed.
+    /// The live out-neighbor table (`{prefix}.adj`): adds append, removes
+    /// delete in place, so each list is in arrival order.
     pub adjacency: NeighborTableHandle,
     /// Live out-degrees as f64 (`{prefix}.deg`), kept in lockstep.
     pub degrees: VectorHandle<f64>,
@@ -202,7 +203,7 @@ impl Ingestor {
     /// the watermark to `at` — the watermark recorded by the checkpoint
     /// the PS state was just rolled back to. The event-log replay then
     /// re-offers everything after the checkpoint; re-applying events the
-    /// crashed run had already absorbed is safe because slot application
+    /// crashed run had already absorbed is safe because list application
     /// is idempotent (duplicate adds and missing removes are skipped, and
     /// degree deltas derive from actual list changes).
     pub fn reset_for_replay(&mut self, at: SimTime) {
@@ -336,8 +337,8 @@ impl PlannedBatch {
     }
 }
 
-/// Mirror the table's slot semantics driver-side (append if absent,
-/// remove the first live occurrence) to learn which events actually
+/// Mirror the table's list semantics driver-side (append if absent,
+/// delete the occurrence in place) to learn which events actually
 /// change state — the maintainers must see only those. Pure function of
 /// the events and the pulled `old` lists (aligned with `srcs`).
 pub(crate) fn plan_batch(events: &[EdgeEvent], srcs: &[u64], old: Vec<Vec<u64>>) -> PlannedBatch {

@@ -10,15 +10,15 @@
 //!    a drift-parameterized RMAT source ([`events::DriftRmat`]) or
 //!    replayed bit-exactly from a DFS event log ([`events::EventLog`]).
 //! 2. **Ingest** ([`ingest`]) — a bounded-mailbox micro-batch ingestor
-//!    applies events to mutable PS state (tombstone-backed neighbor
-//!    table + degree vector) and tracks an event-time watermark for
+//!    applies events to mutable PS state (a neighbor table whose adds
+//!    append and whose removes delete in place, + a degree vector) and tracks an event-time watermark for
 //!    freshness accounting. For write throughput, [`shard`] routes the
 //!    stream across N such ingestors keyed by edge owner (source-range
 //!    tiling) and merges freshness as the min across shard watermarks.
 //! 3. **Maintain** — each batch's effects feed the incremental
 //!    maintainers in `psgraph_core::algos::incremental`: PageRank by
-//!    residual re-push, connected components by union-on-add and bounded
-//!    recompute-on-remove.
+//!    residual re-push, connected components by union-on-add and one
+//!    bounded recompute per component a batch's removes hit.
 //! 4. **Refresh** ([`refresh`]) — every few batches a
 //!    [`psgraph_ps::snapshot::DeltaWriter`] delta of the dirtied
 //!    partitions is hot-swapped into the live serve replicas, so queries

@@ -10,7 +10,7 @@
 //! mid-batch, mid-checkpoint, mid-refresh — recovery rolls every
 //! `Consistent` object back to the last *published* generation, rewinds
 //! the ingestor ([`Ingestor::reset_for_replay`]), and re-drives the event
-//! log suffix through [`replay_from_log`]. Replay is idempotent: slot
+//! log suffix through [`replay_from_log`]. Replay is idempotent: list
 //! application skips duplicate adds and missing removes, so events the
 //! crashed run had already absorbed past the checkpoint re-apply to the
 //! same state.

@@ -219,7 +219,7 @@ impl ShardedIngestor {
     /// 1. *serial, shard order* — drain each mailbox and pull the old
     ///    out-lists on the shard's own clock;
     /// 2. *parallel on the pool* — plan each shard's mutations (the
-    ///    driver-side mirror of the table's slot semantics, pure CPU);
+    ///    driver-side mirror of the table's list semantics, pure CPU);
     /// 3. *concurrent per-partition writes* — one
     ///    [`NeighborTableHandle::update_edges_sharded`] call applies all
     ///    shards' lanes, charging each to its own clock, verifying each

@@ -1,7 +1,7 @@
 //! Property tests for the streaming tier: randomized event streams
 //! driven through the real `Ingestor`, checked against independent
 //! models — full PageRank recomputes, reference connected components,
-//! and a naive Vec model of the tombstone neighbor table.
+//! and a naive Vec model of the neighbor table.
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use psgraph_core::algos::{IncrementalCc, IncrementalPageRank};
 use psgraph_dfs::Dfs;
 use psgraph_graph::{metrics, EdgeList};
 use psgraph_harness::prop::{check, Source};
-use psgraph_harness::prop_assert_eq;
+use psgraph_harness::{prop_assert, prop_assert_eq};
 use psgraph_net::rpc::NodeId;
 use psgraph_ps::{NeighborTableHandle, Partitioner, Ps, PsConfig, RecoveryMode};
 use psgraph_sim::{FxHashMap, NodeClock, SimTime, SplitMix64};
@@ -145,38 +145,39 @@ fn incremental_cc_matches_reference_over_random_stream() {
 }
 
 #[test]
-fn neighbor_table_matches_naive_model_with_tombstone_churn() {
-    // add → remove → add round-trips under heavy churn: the tombstone
-    // table must always expose exactly the naive "append if absent,
-    // remove first occurrence" list, and compaction must keep dead slots
-    // bounded by live ones.
+fn neighbor_table_matches_naive_model_under_churn() {
+    // add → remove → add round-trips under heavy churn: the table must
+    // always expose exactly the naive "append if absent, remove first
+    // occurrence" list, in order, and hold no memory beyond it — its
+    // footprint equals a table freshly loaded with the same lists.
     let n = 12u64;
     let ps = Ps::new(PsConfig::default());
     let client = NodeClock::new();
-    let table = NeighborTableHandle::create(
-        &ps,
-        "m.adj",
-        n,
-        Partitioner::Range,
-        RecoveryMode::Consistent,
-    )
-    .unwrap();
+    let create = |name: &str| {
+        NeighborTableHandle::create(&ps, name, n, Partitioner::Range, RecoveryMode::Consistent)
+            .unwrap()
+    };
+    let table = create("m.adj");
+    // Sources that got an add op: the table holds an entry for each, even
+    // once its list is empty again.
     let mut model: FxHashMap<u64, Vec<u64>> = FxHashMap::default();
     let mut rng = SplitMix64::new(2718);
-    for _ in 0..60 {
+    for round in 0..60 {
         let mut ops: Vec<(u64, u64, bool)> = Vec::new();
         for _ in 0..20 {
             let s = rng.next_below(n);
             let d = rng.next_below(n);
             let add = rng.next_bool(0.55);
             ops.push((s, d, add));
-            let list = model.entry(s).or_default();
             if add {
+                let list = model.entry(s).or_default();
                 if !list.contains(&d) {
                     list.push(d);
                 }
-            } else if let Some(i) = list.iter().position(|&x| x == d) {
-                list.remove(i);
+            } else if let Some(list) = model.get_mut(&s) {
+                if let Some(i) = list.iter().position(|&x| x == d) {
+                    list.remove(i);
+                }
             }
         }
         table.update_edges(&client, &ops).unwrap();
@@ -186,13 +187,101 @@ fn neighbor_table_matches_naive_model_with_tombstone_churn() {
             let want = model.get(&(v as u64)).cloned().unwrap_or_default();
             assert_eq!(got.as_slice(), want.as_slice(), "vertex {v} diverged from model");
         }
-        let live: usize = model.values().map(|l| l.len()).sum();
-        let dead = table.tombstones().unwrap();
-        assert!(
-            dead <= live + n as usize,
-            "compaction failed to bound tombstones: {dead} dead vs {live} live"
+        let fresh = create(&format!("m.fresh{round}"));
+        let entries: Vec<(u64, Vec<u64>)> = model.iter().map(|(&v, l)| (v, l.clone())).collect();
+        fresh.push(&client, &entries).unwrap();
+        assert_eq!(
+            table.resident_bytes().unwrap(),
+            fresh.resident_bytes().unwrap(),
+            "round {round}: churned footprint differs from a fresh load of the same lists"
         );
     }
+}
+
+/// One abstract op of a CC batch: `(remove?, a, b)`. A remove deletes the
+/// live edge at index `a % live`; an add inserts `(a % n, b % n)` when it
+/// is a new non-loop edge. Interpreted against the live set, so shrinking
+/// the choices always yields a valid batch.
+type CcOp = (bool, u64, u64);
+
+#[test]
+fn incremental_cc_recomputes_each_hit_component_once() {
+    check(
+        "incremental_cc_recomputes_each_hit_component_once",
+        |src: &mut Source| {
+            let n = src.u64_range(4, 24);
+            let base: Vec<(u64, u64)> =
+                src.vec_with(0, 40, |s| (s.u64_range(0, n), s.u64_range(0, n)));
+            // Remove-heavy batches, so several removes land in one
+            // component.
+            let batches: Vec<Vec<CcOp>> = src.vec_with(1, 6, |s| {
+                s.vec_with(1, 12, |s| (s.choice(3) < 2, s.any_u64(), s.any_u64()))
+            });
+            (n, base, batches)
+        },
+        |(n, base, batches)| {
+            let n = *n;
+            let mut live: Vec<(u64, u64)> = Vec::new();
+            for &(s, d) in base {
+                if s != d && !live.contains(&(s, d)) {
+                    live.push((s, d));
+                }
+            }
+            let ps = Ps::new(PsConfig::default());
+            let client = NodeClock::new();
+            let adj = NeighborTableHandle::create(
+                &ps,
+                "pc.adj",
+                n,
+                Partitioner::Range,
+                RecoveryMode::Consistent,
+            )
+            .unwrap();
+            adj.add_edges(&client, &live).unwrap();
+            let mut cc = IncrementalCc::create(&ps, "pc.cc", n).unwrap();
+            cc.bootstrap(&client, &adj).unwrap();
+            for (b, batch) in batches.iter().enumerate() {
+                let mut applied: Vec<(u64, u64, bool)> = Vec::new();
+                for &(remove, x, y) in batch {
+                    if remove {
+                        if !live.is_empty() {
+                            let (s, d) = live.remove((x % live.len() as u64) as usize);
+                            applied.push((s, d, false));
+                        }
+                    } else {
+                        let (s, d) = (x % n, y % n);
+                        if s != d && !live.contains(&(s, d)) {
+                            live.push((s, d));
+                            applied.push((s, d, true));
+                        }
+                    }
+                }
+                let mut hit: Vec<u64> = applied
+                    .iter()
+                    .filter(|&&(_, _, add)| !add)
+                    .map(|&(s, _, _)| cc.labels()[s as usize])
+                    .collect();
+                hit.sort_unstable();
+                hit.dedup();
+                adj.update_edges(&client, &applied).unwrap();
+                let stats = cc.on_batch(&client, &applied, &adj).unwrap();
+                let want = metrics::connected_components(&EdgeList::new(n, live.clone()));
+                prop_assert_eq!(cc.labels(), want.as_slice(), "batch {b}: labels vs reference");
+                prop_assert_eq!(
+                    cc.labels.pull_all(&client).unwrap(),
+                    cc.labels(),
+                    "batch {b}: PS copy vs mirror"
+                );
+                prop_assert!(
+                    stats.recomputes <= hit.len(),
+                    "batch {b}: {} recomputes for {} hit components",
+                    stats.recomputes,
+                    hit.len()
+                );
+            }
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -341,8 +430,8 @@ fn event_log_replay_is_idempotent_after_crash() {
     //    the DFS event log. Idempotent slot application (duplicate adds
     //    and missing removes are skipped) must leave the live edge sets,
     //    degrees, and watermark identical to a run that never crashed.
-    //    (List *order* may legally differ: a skipped duplicate add does
-    //    not consume the tombstone slot the first application did.)
+    //    (List *order* may legally differ: a skipped duplicate add leaves
+    //    the neighbor where the first application put it.)
     //
     // 2. PS crash: servers restored from the checkpoint generation taken
     //    at the rewind boundary, then the suffix replays. This is the

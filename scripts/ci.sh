@@ -14,12 +14,19 @@ fi
 
 # The harness is the substrate every test stands on (the work-stealing
 # pool lives there) — hold it to warnings-as-errors. Same bar for the
-# serving tier and the query engine (newest subsystems).
-RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-harness --all-targets
-RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-query --all-targets
-RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-serve --all-targets
+# serving tier and the query engine (newest subsystems), and for the
+# PS, the algorithms and the streaming tier the stream loop runs on.
+for pkg in psgraph-harness psgraph-query psgraph-serve psgraph-core psgraph-ps psgraph-stream; do
+    RUSTFLAGS="-D warnings" cargo build --offline -p "$pkg" --all-targets
+done
 
 cargo build --release --offline --workspace
+
+# The repository benchmark is a separate package over the in-tree crates:
+# building and testing it here makes a layer API change that breaks the
+# benchmark fail CI instead of the next benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # Release mode: the fig6/table emergence tests simulate whole cluster
 # runs and are debug-prohibitive (>10 min); in release the full suite
 # finishes in a few minutes.
